@@ -13,6 +13,7 @@ import (
 	"sage/internal/rl"
 	"sage/internal/rollout"
 	"sage/internal/sim"
+	"sage/internal/tcp"
 )
 
 // tinyPool collects a very small pool for fast tests.
@@ -79,17 +80,20 @@ func TestAgentRespectsBounds(t *testing.T) {
 	pool := tinyPool(t)
 	model := Train(pool, Config{CRR: tinyCRR()}, nil)
 	agent := model.NewAgent(0)
-	agent.MaxCwnd = 50
 	sc := netem.SetI(netem.SetIOptions{Level: netem.GridTiny, Duration: 3 * sim.Second})[0]
-	res := rollout.Run(sc, cc.MustNew("pure"), rollout.Options{Controller: agent, SamplePeriod: 100 * sim.Millisecond})
+	opt := rollout.Options{Controller: agent, SamplePeriod: 100 * sim.Millisecond, TCP: tcp.Options{MaxCwnd: 50}}
+	res := rollout.Run(sc, cc.MustNew("pure"), opt)
 	for _, s := range res.Series {
 		if s.Cwnd > 51 {
 			t.Fatalf("cwnd %v exceeded MaxCwnd", s.Cwnd)
 		}
 	}
+	// Reset restores the fresh recurrent state: the reset agent replays
+	// the same scenario exactly.
 	agent.Reset()
-	if len(agent.hidden) != len(model.Policy.InitHidden()) {
-		t.Fatal("reset broke hidden state")
+	again := rollout.Run(sc, cc.MustNew("pure"), opt)
+	if again.ThroughputBps != res.ThroughputBps {
+		t.Fatalf("reset agent diverges: %v vs %v", again.ThroughputBps, res.ThroughputBps)
 	}
 }
 
@@ -105,8 +109,8 @@ func TestWrapPolicyAndEmbedding(t *testing.T) {
 	}
 	model := WrapPolicy(bc, nil, gr.Config{})
 	agent := model.NewAgent(0)
-	emb := agent.LastHiddenEmbedding(pool.Trajs[0].Steps[0].State)
-	if len(emb) != 12 {
+	_, _, cache := model.Policy.Forward(gr.ApplyMask(pool.Trajs[0].Steps[0].State, model.Mask), model.Policy.InitHidden())
+	if emb := model.Policy.LastHidden(cache); len(emb) != 12 {
 		t.Fatalf("embedding dim %d", len(emb))
 	}
 	sc := netem.SetI(netem.SetIOptions{Level: netem.GridTiny, Duration: 2 * sim.Second})[0]

@@ -184,13 +184,15 @@ func Fig16(a *Artifacts, envs int) *Table {
 			res := eval.ControllerEntrant(name, func() rollout.Controller { return agent }).
 				Run(sc, rollout.Options{GR: model.GR, CollectSteps: true})
 			// Subsample embeddings along the trajectory.
-			emb := model.NewAgent(int64(e))
+			hidden := model.Policy.InitHidden()
 			stride := len(res.Steps) / 12
 			if stride < 1 {
 				stride = 1
 			}
 			for i := 0; i < len(res.Steps); i += stride {
-				pts = append(pts, emb.LastHiddenEmbedding(res.Steps[i].State))
+				var emb []float64
+				emb, hidden = lastHiddenEmbedding(model, res.Steps[i].State, hidden)
+				pts = append(pts, emb)
 				labels = append(labels, e)
 			}
 		}
@@ -199,4 +201,12 @@ func Fig16(a *Artifacts, envs int) *Table {
 		t.AddRow(name, fmt.Sprintf("%.2f", sep), itoa(len(pts)))
 	}
 	return t
+}
+
+// lastHiddenEmbedding runs the model's policy one step on state from hidden
+// and returns the last hidden layer activation — the embedding Fig. 16
+// visualizes — plus the next recurrent state.
+func lastHiddenEmbedding(m *core.Model, state, hidden []float64) (emb, next []float64) {
+	_, next, cache := m.Policy.Forward(gr.ApplyMask(state, m.Mask), hidden)
+	return m.Policy.LastHidden(cache), next
 }

@@ -17,7 +17,7 @@ import (
 )
 
 type uProbe struct {
-	agent *core.Agent
+	agent *rl.PolicyController
 	model *core.Model
 	us    []float64
 	cwnd  []float64

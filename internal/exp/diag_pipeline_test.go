@@ -50,11 +50,6 @@ func TestDiagTrainDeploy(t *testing.T) {
 		}
 	})
 	ent := eval.ControllerEntrant("sage", func() rollout.Controller { return model.NewAgent(1) })
-	entMode := eval.ControllerEntrant("sage-mode", func() rollout.Controller {
-		ag := model.NewAgent(1)
-		ag.UseMode = true
-		return ag
-	})
 
 	mrtt := 20 * sim.Millisecond
 	envs := []netem.Scenario{
@@ -66,11 +61,9 @@ func TestDiagTrainDeploy(t *testing.T) {
 			QueueBytes: 2 * netem.BDPBytes(netem.Mbps(24), 40*sim.Millisecond),
 			Duration:   20 * sim.Second, CubicFlows: 1, TestStart: 2 * sim.Second},
 	}
-	for _, e := range []eval.Entrant{ent, entMode} {
-		for _, sc := range envs {
-			res := e.Run(sc, rollout.Options{})
-			fmt.Printf("%-10s %-12s thr=%6.2fMbps rtt=%6.1fms loss=%.3f fair=%.1f\n",
-				e.Name, sc.Name, res.ThroughputBps/1e6, res.AvgRTT.Millis(), res.LossRate, res.FairShareBps/1e6)
-		}
+	for _, sc := range envs {
+		res := ent.Run(sc, rollout.Options{})
+		fmt.Printf("%-10s %-12s thr=%6.2fMbps rtt=%6.1fms loss=%.3f fair=%.1f\n",
+			ent.Name, sc.Name, res.ThroughputBps/1e6, res.AvgRTT.Millis(), res.LossRate, res.FairShareBps/1e6)
 	}
 }

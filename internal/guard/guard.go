@@ -1,15 +1,15 @@
 // Package guard is the runtime safety layer around policy inference: a
-// GuardedController wraps any rollout.Controller (rl.PolicyController,
-// core.Agent, or a baseline) and validates every control decision before
-// it reaches the connection. When the policy misbehaves — a non-finite
-// state vector or window, a sustained stall, or a collapsed cwnd — the
-// guardian switches the connection to a heuristic fallback (Cubic by
-// default) via tcp.Conn.SwitchCC, exactly as a production deployment
-// would rather than let a NaN in a forward pass blackhole a user's
-// connection. After a probation window on the fallback the policy is
-// re-admitted; every re-trip doubles the next probation (hysteresis), so
-// a persistently broken policy converges to running the heuristic while a
-// transiently confused one gets its connection back.
+// GuardedController wraps any rollout.Controller (rl.PolicyController or
+// a baseline) and validates every control decision before it reaches the
+// connection. When the policy misbehaves — a non-finite state vector or
+// window, a sustained stall, or a collapsed cwnd — the guardian switches
+// the connection to a heuristic fallback (Cubic by default) via
+// tcp.Conn.SwitchCC, exactly as a production deployment would rather
+// than let a NaN in a forward pass blackhole a user's connection. After a
+// probation window on the fallback the policy is re-admitted; every
+// re-trip doubles the next probation (hysteresis), so a persistently
+// broken policy converges to running the heuristic while a transiently
+// confused one gets its connection back.
 //
 // Every trip and restore is recorded through internal/telemetry: counters
 // in an optional Registry plus an in-memory event log exportable as
@@ -33,9 +33,9 @@ type Controller interface {
 }
 
 // resettable is implemented by controllers with recurrent state
-// (core.Agent, rl.PolicyController); the guardian resets them on
-// re-admission so the policy restarts from a clean hidden state instead
-// of one poisoned by the episode that tripped it.
+// (rl.PolicyController); the guardian resets them on re-admission so the
+// policy restarts from a clean hidden state instead of one poisoned by the
+// episode that tripped it.
 type resettable interface{ Reset() }
 
 // Flusher mirrors rollout.BatchFlusher (redeclared locally, like

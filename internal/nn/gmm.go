@@ -130,16 +130,3 @@ func (g GMM) MeanInto(p, w []float64) float64 {
 	}
 	return m
 }
-
-// Mode returns the mean of the highest-weight component — sharper than the
-// mixture mean when components disagree.
-func (g GMM) Mode(p []float64) float64 {
-	logits, means, _ := g.split(p)
-	best := 0
-	for k := 1; k < g.K; k++ {
-		if logits[k] > logits[best] {
-			best = k
-		}
-	}
-	return means[best]
-}

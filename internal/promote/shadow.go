@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"sage/internal/core"
-	"sage/internal/gr"
+	"sage/internal/rl"
 	"sage/internal/telemetry"
 )
 
@@ -14,7 +14,7 @@ const (
 	MetricShadowObserved   = "shadow.observed"   // live decisions seen
 	MetricShadowMirrored   = "shadow.mirrored"   // decisions replayed on the candidate
 	MetricShadowFallbacks  = "shadow.fallbacks"  // live decisions that were safety no-ops
-	MetricShadowDivergence = "shadow.divergence" // histogram of |u_cand − u_live|
+	MetricShadowDivergence = "shadow.divergence" // histogram of |log2 r_cand − log2 r_live|
 )
 
 // ShadowConfig tunes the shadow evaluator.
@@ -70,10 +70,12 @@ type ShadowStats struct {
 // (the engine's workers call Observe from multiple goroutines); the
 // candidate forward pass runs under one mutex, which is fine for the
 // mirrored fraction of traffic but is why the shadow pool is separate
-// from the serving hot path.
+// from the serving hot path. The candidate decides through the same
+// rl.Decider as every deployment path, and the mutex also guards its
+// shared scratch, so a session costs only its hidden vector.
 type Shadow struct {
-	cfg   ShadowConfig
-	model *core.Model
+	cfg ShadowConfig
+	dec *rl.Decider
 
 	mu        sync.Mutex
 	sessions  map[uint64]*shadowSess
@@ -84,8 +86,6 @@ type Shadow struct {
 	fallbacks int64
 	sumAbs    float64
 	maxAbs    float64
-	maskBuf   []float64
-	meanBuf   []float64
 }
 
 type shadowSess struct {
@@ -102,7 +102,7 @@ type regimeAcc struct {
 func NewShadow(cand *core.Model, cfg ShadowConfig) *Shadow {
 	return &Shadow{
 		cfg:      cfg.fill(),
-		model:    cand,
+		dec:      rl.NewDecider(cand.Policy, cand.Mask),
 		sessions: make(map[uint64]*shadowSess),
 		regimes:  make(map[uint64]string),
 		stats:    make(map[string]*regimeAcc),
@@ -180,20 +180,17 @@ func (s *Shadow) Observe(sid uint64, state []float64, ratio float64, fallback bo
 				break
 			}
 		}
-		sess = &shadowSess{hidden: s.model.Policy.InitHidden()}
+		sess = &shadowSess{hidden: s.dec.Policy.InitHidden()}
 		s.sessions[sid] = sess
 	}
-	s.maskBuf = gr.ApplyMaskInto(s.maskBuf, state, s.model.Mask)
-	head, h, _ := s.model.Policy.Forward(s.maskBuf, sess.hidden)
+	head, h := s.dec.Step(state, sess.hidden)
 	sess.hidden = h
-	if cap(s.meanBuf) < s.model.Policy.GMM.K {
-		s.meanBuf = make([]float64, s.model.Policy.GMM.K)
-	}
 	// Deterministic mixture mean: the shadow never samples, so it cannot
-	// perturb any RNG the serving path owns.
-	uCand := s.model.Policy.GMM.MeanInto(head, s.meanBuf[:s.model.Policy.GMM.K])
-	uLive := math.Log2(ratio)
-	div := math.Abs(uCand - uLive)
+	// perturb any RNG the serving path owns. Both sides are compared as
+	// the log2 of the ratio they would apply, so a candidate whose raw
+	// GMM mean lies beyond [−1, 1] is judged by the action it would take.
+	rCand := rl.UToRatio(s.dec.Act(head, nil))
+	div := math.Abs(math.Log2(rCand) - math.Log2(ratio))
 	if math.IsNaN(div) || math.IsInf(div, 0) {
 		return
 	}

@@ -20,7 +20,8 @@ func shadowState(i int) []float64 {
 
 // The shadow must measure exactly the action gap between candidate and
 // incumbent: with constant-action models the divergence is known in
-// closed form (|u_cand - u_live| on every mirrored decision).
+// closed form (|u_cand - u_live| on every mirrored decision, both inside
+// [−1, 1], so applied-action space and u-space agree).
 func TestShadowDivergenceExact(t *testing.T) {
 	cand := constModel(0.25)
 	reg := telemetry.NewRegistry()
@@ -53,6 +54,17 @@ func TestShadowDivergenceExact(t *testing.T) {
 	}
 	if got := reg.Counter(promote.MetricShadowMirrored).Value(); got != 14 {
 		t.Fatalf("%s = %d, want 14", promote.MetricShadowMirrored, got)
+	}
+
+	// Divergence is measured between applied actions: a candidate whose
+	// raw GMM mean (2.5) lies beyond the [−1, 1] clamp applies ratio 2,
+	// exactly what an incumbent at u = +1 applied.
+	over := promote.NewShadow(constModel(2.5), promote.ShadowConfig{})
+	for i := 0; i < 4; i++ {
+		over.Observe(1, shadowState(i), rl.UToRatio(1), false)
+	}
+	if st := over.Stats(); st.Mirrored != 4 || st.MeanAbsDiv != 0 || st.MaxAbsDiv != 0 {
+		t.Fatalf("over-range candidate: %+v, want 4 mirrored at divergence exactly 0", st)
 	}
 }
 

@@ -190,24 +190,7 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 			res.Steps = append(res.Steps, step)
 		}
 		if opt.Trace != nil {
-			st := ut.Conn.Stats()
-			q := n.Link.Queue()
-			opt.Trace.Record(telemetry.FlowSample{
-				AtUs:         int64(now),
-				Flow:         ut.Conn.ID,
-				Cwnd:         st.Cwnd,
-				SRTTMs:       st.SRTT.Millis(),
-				RTTVarMs:     st.RTTVar.Millis(),
-				InflightPkts: st.InflightPkts,
-				DeliveryBps:  st.DeliveryRate * 8,
-				LostPkts:     st.LostPkts,
-				Retrans:      st.RTOs,
-				Recoveries:   st.Recoveries,
-				QueuePkts:    q.Len(),
-				QueueBytes:   q.Bytes(),
-				Action:       step.Action,
-				Reward:       step.Reward,
-			})
+			opt.Trace.Record(traceSample(now, ut.Conn, n.Link.Queue(), step))
 		}
 		if opt.SamplePeriod > 0 && now >= nextSample {
 			sent := ut.Conn.SentPkts()
@@ -256,4 +239,26 @@ func Run(sc netem.Scenario, ccUnderTest tcp.CongestionControl, opt Options) Resu
 		res.BgThroughput = append(res.BgThroughput, float64(f.Sink.RxBytes)*8/sc.Duration.Seconds())
 	}
 	return res
+}
+
+// traceSample is the per-tick telemetry.FlowSample of conn: its datapath
+// counters, the bottleneck queue, and the GR step's action and reward.
+func traceSample(now sim.Time, conn *tcp.Conn, q netem.Queue, step gr.Step) telemetry.FlowSample {
+	st := conn.Stats()
+	return telemetry.FlowSample{
+		AtUs:         int64(now),
+		Flow:         conn.ID,
+		Cwnd:         st.Cwnd,
+		SRTTMs:       st.SRTT.Millis(),
+		RTTVarMs:     st.RTTVar.Millis(),
+		InflightPkts: st.InflightPkts,
+		DeliveryBps:  st.DeliveryRate * 8,
+		LostPkts:     st.LostPkts,
+		Retrans:      st.RTOs,
+		Recoveries:   st.Recoveries,
+		QueuePkts:    q.Len(),
+		QueueBytes:   q.Bytes(),
+		Action:       step.Action,
+		Reward:       step.Reward,
+	}
 }

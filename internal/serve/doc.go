@@ -2,7 +2,7 @@
 // service multiplexing any number of concurrent flows onto shared batched
 // forward passes.
 //
-// A per-flow controller (rl.PolicyController, core.Agent) runs one full
+// A per-flow controller (rl.PolicyController) runs one full
 // network forward per flow per control interval; at fleet scale that is
 // thousands of small GEMV calls that thrash the cache and re-derive every
 // scratch buffer. The Engine instead keeps one session per flow — just

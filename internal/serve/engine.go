@@ -55,6 +55,11 @@ type ShadowObserver interface {
 	Observe(sid uint64, state []float64, ratio float64, fallback bool)
 }
 
+// cwndFloor is the window floor in packets every served decision respects:
+// the floor rl.PolicyController applies. There is no ceiling beyond the
+// connection's own tcp.Options.MaxCwnd.
+const cwndFloor = 2
+
 // Config tunes an Engine. The zero value of every field but Policy is
 // usable.
 type Config struct {
@@ -67,9 +72,6 @@ type Config struct {
 	// streams, so individual draws differ from any per-flow sequence.
 	Stochastic bool
 	Seed       int64
-
-	MinCwnd float64 // cwnd floor in packets (default 2, matching rl.PolicyController)
-	MaxCwnd float64 // cwnd ceiling in packets (default 0 = none)
 
 	// MaxSessions caps resident sessions; beyond it the least-recently
 	// used idle session is evicted and a later request for its id starts
@@ -113,9 +115,6 @@ type Config struct {
 func (c Config) fill() Config {
 	if c.Mask == nil {
 		c.Mask = gr.MaskFull()
-	}
-	if c.MinCwnd == 0 {
-		c.MinCwnd = 2
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 4096
@@ -235,9 +234,9 @@ type batchBuf struct {
 	states, hidden nn.Mat
 	scratch        *nn.PolicyBatchScratch
 	meanBuf        []float64
-	flags          []bool // per-row fallback flags
-	rng            *rand.Rand
-	gen            uint64 // swap generation the scratch was built for
+	flags          []bool     // per-row fallback flags
+	rng            *rand.Rand // nil unless Config.Stochastic
+	gen            uint64     // swap generation the scratch was built for
 }
 
 // Engine multiplexes flows onto shared batched forward passes.
@@ -290,11 +289,14 @@ func NewEngine(cfg Config) *Engine {
 }
 
 func (e *Engine) newBatchBuf(worker int) batchBuf {
-	return batchBuf{
+	b := batchBuf{
 		scratch: e.cfg.Policy.NewBatchScratch(),
 		meanBuf: make([]float64, e.cfg.Policy.GMM.K),
-		rng:     rand.New(rand.NewSource(e.cfg.Seed + 7919*int64(worker+1))),
 	}
+	if e.cfg.Stochastic {
+		b.rng = rand.New(rand.NewSource(e.cfg.Seed + 7919*int64(worker+1)))
+	}
+	return b
 }
 
 // NewSessionID allocates a session id no other caller holds. Sessions
@@ -481,7 +483,7 @@ func (e *Engine) Flush(now sim.Time) {
 		chunk := pend[lo:hi]
 		e.forwardChunk(chunk, &e.syncBuf, func(i int, ratio float64) {
 			c := chunk[i].conn
-			c.SetCwnd(tcp.ClampCwnd(c.Cwnd*ratio, e.cfg.MinCwnd, e.cfg.MaxCwnd))
+			c.SetCwnd(tcp.ClampCwnd(c.Cwnd*ratio, cwndFloor, 0))
 			c.Kick(now)
 		})
 	}
@@ -501,7 +503,7 @@ func (e *Engine) Flush(now sim.Time) {
 func (e *Engine) applyFallback(pend []pendingDecision, now sim.Time) {
 	for _, p := range pend {
 		c := p.conn
-		c.SetCwnd(tcp.ClampCwnd(c.Cwnd, e.cfg.MinCwnd, e.cfg.MaxCwnd))
+		c.SetCwnd(tcp.ClampCwnd(c.Cwnd, cwndFloor, 0))
 		c.Kick(now)
 	}
 	e.ov.noteDegraded(int64(len(pend)))
@@ -545,40 +547,38 @@ func (e *Engine) forwardChunk(chunk []pendingDecision, buf *batchBuf, apply func
 	}
 	heads, hNew := pol.BatchForward(&buf.states, &buf.hidden, buf.scratch)
 	for i := range chunk {
+		// Read the session's fields before apply: apply releases ownership
+		// on the async path (busy=false), after which the session's next
+		// request may already be rewriting stateBuf.
+		s := chunk[i].sess
+		state := s.stateBuf
 		ratio := 1.0
 		if !fallback[i] {
-			var u float64
-			if e.cfg.Stochastic {
-				u = pol.GMM.Sample(heads.Row(i), buf.rng)
-			} else {
-				u = pol.GMM.MeanInto(heads.Row(i), buf.meanBuf)
-			}
+			u := rl.Act(pol.GMM, heads.Row(i), buf.meanBuf, buf.rng)
 			r := rl.UToRatio(u)
 			if math.IsNaN(u) || math.IsNaN(r) || math.IsInf(r, 0) {
 				fallback[i] = true
 			} else {
 				ratio = r
-				copy(chunk[i].sess.hidden, hNew.Row(i))
-				chunk[i].sess.recordWindow(chunk[i].sess.stateBuf, e.cfg.ReprimeWindow)
+				copy(s.hidden, hNew.Row(i))
+				s.recordWindow(state, e.cfg.ReprimeWindow)
 			}
 		}
 		if fallback[i] {
 			e.cfg.Metrics.Counter(MetricFallbacks).Inc()
 		}
 		e.cfg.Metrics.Counter(MetricDecisions).Inc()
-		// Trace before apply: apply releases session ownership on the async
-		// path (busy=false), after which a concurrent CloseSession may
-		// export the window.
-		if e.cfg.Trace != nil && finiteVec(chunk[i].sess.stateBuf) {
-			s := chunk[i].sess
-			s.recordTrace(s.stateBuf, ratio, fallback[i])
+		// Trace before apply, for the same reason: once released, a
+		// concurrent CloseSession may export the window.
+		if e.cfg.Trace != nil && finiteVec(state) {
+			s.recordTrace(state, ratio, fallback[i])
 			if len(s.trace) >= e.cfg.TraceWindowSteps {
 				e.exportTrace(s, TraceReasonRotate)
 			}
 		}
 		apply(i, ratio)
 		if shadow != nil {
-			shadow.Observe(chunk[i].sess.id, chunk[i].sess.stateBuf, ratio, fallback[i])
+			shadow.Observe(s.id, state, ratio, fallback[i])
 		}
 	}
 	e.cfg.Metrics.Counter(MetricBatches).Inc()
@@ -673,11 +673,11 @@ func (e *Engine) DecidePri(id uint64, cwnd float64, state []float64, highPri boo
 			}
 			e.ov.noteDegraded(1)
 			e.closeMu.RUnlock()
-			return tcp.ClampCwnd(cwnd, e.cfg.MinCwnd, e.cfg.MaxCwnd), true, nil
+			return tcp.ClampCwnd(cwnd, cwndFloor, 0), true, nil
 		case mode >= ModeDegraded && !highPri:
 			e.ov.noteDegraded(1)
 			e.closeMu.RUnlock()
-			return tcp.ClampCwnd(cwnd, e.cfg.MinCwnd, e.cfg.MaxCwnd), true, nil
+			return tcp.ClampCwnd(cwnd, cwndFloor, 0), true, nil
 		}
 	}
 	e.mu.Lock()
@@ -722,7 +722,7 @@ func (e *Engine) DecidePri(id uint64, cwnd float64, state []float64, highPri boo
 	if e.ov != nil {
 		e.ov.noteLatency(time.Since(start))
 	}
-	w := tcp.ClampCwnd(cwnd*res.ratio, e.cfg.MinCwnd, e.cfg.MaxCwnd)
+	w := tcp.ClampCwnd(cwnd*res.ratio, cwndFloor, 0)
 	return w, res.fallback, nil
 }
 

@@ -402,9 +402,21 @@ func (c *Client) roundTripMsg() (float64, byte, string, error) {
 		}
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(c.conn, c.wbuf); err != nil {
-		return 0, StatusError, "", err
+	if werr := writeFrame(c.conn, c.wbuf); werr != nil {
+		// A server shedding this connection sends its OVERLOAD frame and
+		// closes without reading the request, so the write can fail with
+		// the answer already waiting on our side. The peer has closed,
+		// so this one read returns at once.
+		if cwnd, status, msg, err := c.readResponse(); err == nil {
+			return cwnd, status, msg, nil
+		}
+		return 0, StatusError, "", werr
 	}
+	return c.readResponse()
+}
+
+// readResponse reads and decodes one response frame.
+func (c *Client) readResponse() (float64, byte, string, error) {
 	p, err := readFrame(c.conn, c.rbuf)
 	if err != nil {
 		return 0, StatusError, "", err
