@@ -35,11 +35,9 @@ func (o *Options) fill() {
 	}
 }
 
-// txRecord tracks one in-flight packet.
+// txRecord tracks one sent packet until it is compacted out of Conn.recs.
 type txRecord struct {
-	seq             int64
 	sentAt          sim.Time
-	size            int
 	deliveredAtSend int64 // connection's delivered bytes when this was sent
 	acked           bool
 	lost            bool
@@ -75,10 +73,14 @@ type Conn struct {
 	Ssthresh   float64 // packets
 	PacingRate float64 // bytes/second; 0 disables pacing
 
+	// Sends take dense seqs: recs[s-base] is seq s, head advances past
+	// resolved records. Compaction drops the prefix below head and keeps
+	// one lostBits bit per seq below base, set while lost and unacked.
 	nextSeq     int64
-	pending     map[int64]*txRecord
-	order       []*txRecord // send order; head advances past resolved records
+	recs        []txRecord
+	base        int64
 	head        int
+	lostBits    []uint64
 	inflightCnt int
 
 	srtt, rttvar     sim.Time
@@ -126,7 +128,6 @@ func NewConn(loop *sim.Loop, n *netem.Network, id int, cc CongestionControl, opt
 		opt:           opt,
 		Cwnd:          opt.InitCwnd,
 		Ssthresh:      math.Inf(1),
-		pending:       make(map[int64]*txRecord),
 		minRTTFilter:  NewMinFilter(10 * sim.Second),
 		maxRateFilter: NewMaxFilter(10 * sim.Second),
 		rto:           sim.Second,
@@ -277,24 +278,26 @@ func (c *Conn) handleAck(ai *ackInfo, now sim.Time) {
 	acked := 0
 	ece := false
 	for _, it := range ai.Items {
-		rec, ok := c.pending[it.Seq]
-		if !ok {
+		var rec *txRecord
+		if it.Seq >= c.base {
+			if rec = &c.recs[it.Seq-c.base]; rec.acked {
+				continue // duplicate ACK
+			}
+			rec.acked = true
+		} else if w, bit := it.Seq/64, uint64(1)<<(it.Seq%64); c.lostBits[w]&bit != 0 {
+			c.lostBits[w] &^= bit // late ACK for a compacted lost record
+		} else {
 			continue
 		}
-		delete(c.pending, it.Seq)
-		if rec.lost {
+		c.delivered += int64(c.opt.MSS)
+		c.deliveredPkts++
+		if rec == nil || rec.lost {
 			// The packet was declared lost but arrived after all: spurious.
 			c.spurious++
 			c.onSpurious()
-			rec.acked = true
-			c.delivered += int64(rec.size)
-			c.deliveredPkts++
 			continue
 		}
-		rec.acked = true
 		c.inflightCnt--
-		c.delivered += int64(rec.size)
-		c.deliveredPkts++
 		acked++
 		if it.ECE {
 			c.ecePkts++
@@ -323,12 +326,7 @@ func (c *Conn) handleAck(ai *ackInfo, now sim.Time) {
 		c.rackRTT = rtt
 	}
 
-	newLost := c.rackDetect(now)
-	c.advanceHead()
-	c.maybeExitRecovery()
-	if newLost > 0 && c.state == StateOpen {
-		c.enterRecovery(now, newLost)
-	}
+	c.rackDetect(now)
 
 	ev := AckEvent{
 		Now:          now,
@@ -417,16 +415,15 @@ func (c *Conn) onSpurious() {
 
 // rackDetect marks as lost every unresolved packet sent before the most
 // recently delivered one whose RACK deadline has passed, and arms a timer
-// for the earliest pending deadline. It returns how many packets it marked.
+// for the earliest pending deadline. It then drops the resolved prefix,
+// leaves recovery once the episode resolves, and enters it on new losses.
+// It returns how many packets it marked.
 func (c *Conn) rackDetect(now sim.Time) int {
-	if c.lastAckedSentAt == 0 {
-		return 0
-	}
 	reorder := c.reorderWnd()
 	marked := 0
 	var earliest sim.Time
-	for i := c.head; i < len(c.order); i++ {
-		r := c.order[i]
+	for i := c.head; i < len(c.recs); i++ {
+		r := &c.recs[i]
 		if r.resolved() {
 			continue
 		}
@@ -445,6 +442,11 @@ func (c *Conn) rackDetect(now sim.Time) int {
 	if earliest > 0 {
 		c.rackTimer = c.loop.At(earliest, c.onRackTimer)
 	}
+	c.advanceHead()
+	c.maybeExitRecovery()
+	if marked > 0 && c.state == StateOpen {
+		c.enterRecovery(now, marked)
+	}
 	return marked
 }
 
@@ -452,13 +454,7 @@ func (c *Conn) onRackTimer(now sim.Time) {
 	if c.stopped {
 		return
 	}
-	newLost := c.rackDetect(now)
-	c.advanceHead()
-	c.maybeExitRecovery()
-	if newLost > 0 && c.state == StateOpen {
-		c.enterRecovery(now, newLost)
-	}
-	if newLost > 0 {
+	if c.rackDetect(now) > 0 {
 		c.trySend(now)
 	}
 }
@@ -471,13 +467,22 @@ func (c *Conn) markLost(r *txRecord) {
 }
 
 func (c *Conn) advanceHead() {
-	for c.head < len(c.order) && c.order[c.head].resolved() {
-		c.order[c.head] = nil
+	for c.head < len(c.recs) && c.recs[c.head].resolved() {
 		c.head++
 	}
 	// Periodically compact so the slice doesn't grow without bound.
-	if c.head > 4096 && c.head > len(c.order)/2 {
-		c.order = append(c.order[:0], c.order[c.head:]...)
+	if c.head > 4096 && c.head > len(c.recs)/2 {
+		for i, r := range c.recs[:c.head] {
+			s := c.base + int64(i)
+			if s%64 == 0 {
+				c.lostBits = append(c.lostBits, 0)
+			}
+			if r.lost && !r.acked {
+				c.lostBits[s/64] |= 1 << (s % 64)
+			}
+		}
+		c.recs = append(c.recs[:0], c.recs[c.head:]...)
+		c.base += int64(c.head)
 		c.head = 0
 	}
 }
@@ -494,7 +499,7 @@ func (c *Conn) maybeExitRecovery() {
 	if c.state == StateOpen {
 		return
 	}
-	if c.head < len(c.order) && c.order[c.head].seq <= c.recoveryEnd {
+	if c.head < len(c.recs) && c.base+int64(c.head) <= c.recoveryEnd {
 		return // still packets from the loss episode outstanding
 	}
 	c.state = StateOpen
@@ -522,8 +527,8 @@ func (c *Conn) onRTO(now sim.Time) {
 	c.recoveryEnd = c.nextSeq - 1
 	// Everything in flight is presumed lost.
 	lost := 0
-	for i := c.head; i < len(c.order); i++ {
-		r := c.order[i]
+	for i := c.head; i < len(c.recs); i++ {
+		r := &c.recs[i]
 		if !r.resolved() {
 			c.markLost(r)
 			lost++
@@ -571,14 +576,7 @@ func (c *Conn) trySend(now sim.Time) {
 func (c *Conn) sendPacket(now sim.Time) {
 	seq := c.nextSeq
 	c.nextSeq++
-	rec := &txRecord{
-		seq:             seq,
-		sentAt:          now,
-		size:            c.opt.MSS,
-		deliveredAtSend: c.delivered,
-	}
-	c.pending[seq] = rec
-	c.order = append(c.order, rec)
+	c.recs = append(c.recs, txRecord{sentAt: now, deliveredAtSend: c.delivered})
 	c.inflightCnt++
 	c.sentPkts++
 	p := &netem.Packet{FlowID: c.ID, Seq: seq, Size: c.opt.MSS, Sent: now, ECT: c.ecnEnabled}
